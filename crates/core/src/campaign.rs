@@ -35,13 +35,13 @@
 //! The deploy phase parses and analyzes each published description
 //! exactly once into an [`Arc<ParsedService>`] work item, shared by the
 //! WS-I check, all eleven client `generate_from` calls and the chaos
-//! wire probe, behind a campaign-wide content-addressed [`DocCache`]
-//! memo (see [`crate::doccache`]). Fault-damaged sites bypass the memo
-//! and chaos-campaign generation cells keep the tool-fidelity text
-//! path, so cached and uncached runs produce bit-identical
-//! [`CampaignResults`]. [`Campaign::run_with_stats`] surfaces the
-//! parse/memo accounting; [`Campaign::with_doc_cache`] disables the
-//! sharing for equivalence tests and benchmarks.
+//! wire probe (see [`crate::doccache`]). Fault-damaged sites are parsed
+//! through a separately counted bypass and chaos-campaign generation
+//! cells keep the tool-fidelity text path, so shared and text-path
+//! runs produce bit-identical [`CampaignResults`].
+//! [`Campaign::run_with_stats`] surfaces the parse/generation
+//! accounting; [`Campaign::with_doc_cache`] disables the sharing for
+//! equivalence tests and benchmarks.
 //!
 //! ## Crash safety and supervision
 //!
@@ -100,14 +100,9 @@ pub struct Campaign {
     faults: Option<FaultPlan>,
     /// The runner's coping budget for disruptions.
     resilience: ResilienceConfig,
-    /// Share parsed descriptions through the content-addressed memo
-    /// (`false` reproduces the historical parse-per-consumer pipeline).
+    /// Share one parse per description across its consumers (`false`
+    /// reproduces the historical parse-per-consumer pipeline).
     doc_cache: bool,
-    /// Lock stripes for the doc-cache memos. Excluded from
-    /// [`Campaign::config_hash`]: striping only spreads contention,
-    /// memo contents — and therefore results — are identical at any
-    /// stripe count.
-    cache_stripes: usize,
     /// Write-ahead journal path (`None` disables journaling).
     journal: Option<PathBuf>,
     /// Replay already-journaled cells instead of executing them.
@@ -199,7 +194,6 @@ impl Campaign {
             faults: None,
             resilience: ResilienceConfig::default(),
             doc_cache: true,
-            cache_stripes: crate::doccache::DEFAULT_MEMO_STRIPES,
             journal: None,
             resume: false,
             breaker: None,
@@ -299,18 +293,6 @@ impl Campaign {
     #[must_use]
     pub fn with_doc_cache(mut self, enabled: bool) -> Campaign {
         self.doc_cache = enabled;
-        self
-    }
-
-    /// Overrides the doc-cache memo stripe count (clamped to at least
-    /// 1; `1` reproduces the historical single-map memo). Excluded
-    /// from [`Campaign::config_hash`] — striping spreads lock
-    /// contention across the memo key space without changing what any
-    /// memo returns, so results are bit-identical at any stripe count
-    /// (pinned by the equivalence proptest in `tests/pipeline_cache`).
-    #[must_use]
-    pub fn with_cache_stripes(mut self, stripes: usize) -> Campaign {
-        self.cache_stripes = stripes.max(1);
         self
     }
 
@@ -469,7 +451,7 @@ impl Campaign {
     }
 
     /// Runs the campaign and additionally returns the parse-once
-    /// pipeline's parse/memo accounting.
+    /// pipeline's parse/generation accounting.
     ///
     /// # Panics
     ///
@@ -500,12 +482,9 @@ impl Campaign {
         let (log, cache) = match &self.obs {
             Some(obs) => (
                 FaultLog::with_registry(obs.metrics_arc()),
-                DocCache::with_config(self.cache_stripes, obs.metrics_arc()),
+                DocCache::with_registry(obs.metrics_arc()),
             ),
-            None => (
-                FaultLog::new(),
-                DocCache::with_stripe_count(self.cache_stripes),
-            ),
+            None => (FaultLog::new(), DocCache::new()),
         };
         let mut results = CampaignResults::default();
 
@@ -825,10 +804,8 @@ impl Campaign {
     /// work item for the test phase.
     ///
     /// Sites where the fault plan may have damaged the published bytes
-    /// bypass the content-addressed memo: damaged text must hit the
-    /// real parser, and its parse must never be shared with (or served
-    /// to) pristine sites. Cache-disabled runs parse unshared, which
-    /// reproduces the historical parse-per-consumer pipeline.
+    /// go through the fault-site bypass, which marks the parse so its
+    /// generation cells are counted apart from pristine ones.
     fn parse_published(
         &self,
         cache: &DocCache,
@@ -842,11 +819,9 @@ impl Campaign {
                 || plan.decide(FaultKind::WsdlCorruption, &site)
         });
         if damage_possible {
-            cache.parse_bypassing_memo(wsdl_xml)
-        } else if self.doc_cache {
-            cache.parse(wsdl_xml)
+            cache.parse_fault_site(wsdl_xml)
         } else {
-            cache.parse_unshared(wsdl_xml)
+            cache.parse(wsdl_xml)
         }
     }
 
@@ -1085,7 +1060,7 @@ impl Campaign {
     /// watchdog.
     ///
     /// Fault-free cells drive the shared parse straight into
-    /// `generate_from` (memoized when the cache is on) and never touch
+    /// `generate_from` (when the cache is on) and never touch
     /// the description text. Chaos cells keep the tool-fidelity text
     /// path: injected corruption must reach the real parser, so the
     /// fault hook wraps [`ClientSubsystem::generate`].
@@ -1469,9 +1444,10 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_chaos_campaigns_are_bit_identical() {
-        // Under a fault plan, corrupted-WSDL sites bypass the memo and
-        // generation cells keep the text path — so the cache must be
-        // invisible to both the records and the fault accounting.
+        // Under a fault plan, corrupted-WSDL sites take the fault-site
+        // bypass and generation cells keep the text path — so the cache
+        // must be invisible to both the records and the fault
+        // accounting.
         let (cached, cached_report, stats) = Campaign::sampled(97)
             .with_faults(FaultPlan::seeded(42))
             .run_with_stats();
@@ -1483,28 +1459,22 @@ mod tests {
         assert_eq!(cached.tests, uncached.tests);
         assert_eq!(cached_report, uncached_report);
         // The seeded plan actually damaged some descriptions, and those
-        // parses stayed out of the memo.
+        // parses were counted as bypasses.
         assert!(stats.fault_bypasses > 0, "{stats:?}");
         assert!(stats.text_generates > 0, "{stats:?}");
     }
 
     #[test]
-    fn cache_accounting_bounds_hold() {
+    fn cache_accounting_is_exact() {
         let (results, _, stats) = Campaign::sampled(97).run_with_stats();
         let deployed = results.services.iter().filter(|s| s.deployed).count();
         assert!(deployed > 0);
-        // Parse-once: one parse per distinct description and no more,
-        // never more than one per deployed service; everything else is
-        // a memo hit.
+        // Parse-once: exactly one parse per deployed service, and one
+        // `generate_from` per test cell over the shared parse.
         assert_eq!(stats.fault_bypasses, 0);
         assert_eq!(stats.text_generates, 0);
-        assert_eq!(stats.parses, stats.distinct_docs);
-        assert!(stats.parses <= deployed);
-        assert_eq!(stats.parses + stats.doc_memo_hits, deployed);
-        // Every test cell either executed `generate_from` once per
-        // (client, document) or replayed the memoized outcome.
-        assert_eq!(stats.gen_runs + stats.gen_memo_hits, results.tests.len());
-        assert!(stats.gen_runs <= 11 * stats.distinct_docs);
+        assert_eq!(stats.parses, deployed);
+        assert_eq!(stats.gen_runs, results.tests.len());
 
         // The historical pipeline parses per consumer: one WS-I parse
         // plus eleven client parses per deployed service.
@@ -1512,8 +1482,7 @@ mod tests {
             .with_doc_cache(false)
             .run_with_stats();
         assert_eq!(uncached.parses, 12 * deployed);
-        assert_eq!(uncached.doc_memo_hits, 0);
-        assert_eq!(uncached.gen_memo_hits, 0);
+        assert_eq!(uncached.gen_runs, 0);
         assert_eq!(uncached.text_generates, 11 * deployed);
     }
 

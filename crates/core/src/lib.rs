@@ -19,8 +19,8 @@
 //! and accounts for injected vs detected vs masked faults. The
 //! [`doccache`] module is the parse-once pipeline: each published
 //! description is parsed and analyzed exactly once, shared by `Arc`
-//! across all consumers behind a content-addressed memo — with cached
-//! and uncached runs provably bit-identical. The [`journal`] module is
+//! across all consumers — with shared and text-path runs provably
+//! bit-identical. The [`journal`] module is
 //! the crash-safety layer: a write-ahead log of completed cells with a
 //! corruption-tolerant reader, so an interrupted campaign resumes
 //! bit-identically; the campaign supervises execution with a per-cell

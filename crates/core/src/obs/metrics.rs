@@ -129,12 +129,15 @@ impl Histogram {
         }
     }
 
-    /// The bucket upper bound at or above quantile `q` (0.0..=1.0).
+    /// The bucket upper bound at or above quantile `q` (0.0..=1.0),
+    /// clamped to `max`.
     ///
     /// Quantiles are reported as bucket bounds, not interpolated
     /// values: that makes them deterministic (two identical bucket
-    /// vectors always report identical quantiles) at the cost of
-    /// granularity no finer than the bucket ladder.
+    /// vectors and maxima always report identical quantiles) at the
+    /// cost of granularity no finer than the bucket ladder. The clamp
+    /// keeps a quantile from reading above the largest observation
+    /// when that observation sits low in its bucket.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -144,7 +147,9 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return BUCKET_BOUNDS_NS.get(i).copied().unwrap_or(self.max);
+                return BUCKET_BOUNDS_NS
+                    .get(i)
+                    .map_or(self.max, |&b| b.min(self.max));
             }
         }
         self.max
@@ -539,7 +544,8 @@ impl MetricsRegistry {
 /// vectors add bin-wise, and quantiles are recomputed from the merged
 /// buckets — identical to what a single registry fed all the
 /// observations would report, because quantiles are defined as bucket
-/// bounds ([`Histogram::quantile_ns`]).
+/// bounds clamped to `max` ([`Histogram::quantile_ns`]), and `max`
+/// merges exactly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -1042,6 +1048,16 @@ mod tests {
         assert_eq!(h.quantile_ns(0.5), BUCKET_BOUNDS_NS[2]); // 3_000 <= 4µs
         assert_eq!(h.quantile_ns(1.0), h.max);
         assert_eq!(Histogram::default().quantile_ns(0.99), 0);
+    }
+
+    #[test]
+    fn quantiles_never_read_above_max() {
+        // 3 ms sits low in its (2.048 ms, 4.096 ms] bucket; the
+        // bucket bound alone would report p50 = p99 = 4.096 ms.
+        let mut h = Histogram::default();
+        h.observe(3_000_000);
+        assert_eq!(h.quantile_ns(0.50), 3_000_000);
+        assert_eq!(h.quantile_ns(0.99), 3_000_000);
     }
 
     #[test]

@@ -498,16 +498,15 @@ pub fn write_response(
     stream.flush().map_err(|e| io_error(&e))
 }
 
-/// Serializes and writes one request.
-pub fn write_request(
-    stream: &mut TcpStream,
+/// Serializes one request: head and body in a single buffer.
+fn render_request(
     method: &str,
     target: &str,
     host: &str,
     soap_action: Option<&str>,
     body: &[u8],
     close: bool,
-) -> Result<(), HttpError> {
+) -> Vec<u8> {
     let connection = if close { "close" } else { "keep-alive" };
     let mut head = format!(
         "{method} {target} HTTP/1.1\r\nHost: {host}\r\nConnection: {connection}\r\n"
@@ -518,8 +517,25 @@ pub fn write_request(
         ));
     }
     head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream.write_all(head.as_bytes()).map_err(|e| io_error(&e))?;
-    stream.write_all(body).map_err(|e| io_error(&e))?;
+    let mut out = head.into_bytes();
+    out.extend_from_slice(body);
+    out
+}
+
+/// Serializes and writes one request with a single write: a head and
+/// body sent apart stall on a reused connection without
+/// `TCP_NODELAY`, the body waiting for the peer's delayed ACK.
+pub fn write_request(
+    stream: &mut TcpStream,
+    method: &str,
+    target: &str,
+    host: &str,
+    soap_action: Option<&str>,
+    body: &[u8],
+    close: bool,
+) -> Result<(), HttpError> {
+    let bytes = render_request(method, target, host, soap_action, body, close);
+    stream.write_all(&bytes).map_err(|e| io_error(&e))?;
     stream.flush().map_err(|e| io_error(&e))
 }
 
@@ -557,6 +573,21 @@ mod tests {
         assert_eq!(req.body, b"<x/>");
         assert!(req.keep_alive);
         assert_eq!(req.header("soapaction"), Some("\"echo\""));
+    }
+
+    #[test]
+    fn requests_render_to_pinned_bytes() {
+        assert_eq!(
+            render_request("POST", "/svc", "127.0.0.1", Some("echo"), b"<x/>", false),
+            b"POST /svc HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: keep-alive\r\n\
+              Content-Type: text/xml; charset=utf-8\r\nSOAPAction: \"echo\"\r\n\
+              Content-Length: 4\r\n\r\n<x/>"
+        );
+        assert_eq!(
+            render_request("GET", "/svc?wsdl", "h", None, b"", true),
+            b"GET /svc?wsdl HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\
+              Content-Length: 0\r\n\r\n"
+        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! End-to-end contract of the parse-once campaign pipeline: the shared
 //! parsed-description cache must be invisible in the results (cached
-//! and uncached runs bit-identical, with and without fault injection)
-//! and visible only in the accounting — and the memo's lock striping
-//! must be equally invisible at any stripe or thread count.
+//! and uncached runs bit-identical, with and without fault injection,
+//! at any thread count) and visible only in the accounting.
 
 use proptest::prelude::*;
 use wsinterop::core::{Campaign, FaultPlan};
@@ -33,10 +32,10 @@ fn cache_is_invisible_under_fault_injection() {
 fn stats_surface_the_sharing() {
     let (results, _, stats) = Campaign::sampled(199).run_with_stats();
     let deployed = results.services.iter().filter(|s| s.deployed).count();
-    // One parse per deployed service at most; eleven clients share it.
-    assert!(stats.parses <= deployed);
-    assert_eq!(stats.parses + stats.doc_memo_hits, deployed);
-    assert_eq!(stats.gen_runs + stats.gen_memo_hits, results.tests.len());
+    // Exactly one parse per deployed service; its eleven clients share
+    // it, one `generate_from` per test cell.
+    assert_eq!(stats.parses, deployed);
+    assert_eq!(stats.gen_runs, results.tests.len());
     let rendered = stats.to_string();
     assert!(rendered.contains("Parse-once pipeline"), "{rendered}");
 }
@@ -63,38 +62,34 @@ fn fault_bypasses_are_counted_apart_from_plain_text_generates() {
 proptest! {
     // Campaign runs are milliseconds each at these strides, but a full
     // default case count would still dominate the suite — a modest
-    // sample over (stride, seed, threads, stripes) exercises every
-    // striping interaction that matters.
+    // sample over (stride, seed, threads) covers both generation paths
+    // and the thread interactions that matter.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Memo lock striping is invisible: for arbitrary stride, fault
-    /// seed, thread count and stripe count, the striped-memo campaign
-    /// is bit-identical — services, tests, fault report and the memo
-    /// accounting itself — to the historical single-map memo
-    /// (`with_cache_stripes(1)`).
+    /// The shared parse is invisible: for arbitrary stride, fault seed
+    /// (or none, which drives every cell through the shared parse) and
+    /// thread count, the shared-parse campaign is bit-identical —
+    /// services, tests and fault report — to the text-path campaign
+    /// (`with_doc_cache(false)`).
     #[test]
-    fn striped_memo_campaign_is_bit_identical_to_single_map_memo(
+    fn shared_parse_campaign_is_bit_identical_to_text_path(
         stride in 97usize..400,
-        seed in 0u64..1000,
+        seed in prop::option::of(0u64..1000),
         threads in 1usize..9,
-        stripes in 2usize..33,
     ) {
-        let single = Campaign::sampled(stride)
-            .with_faults(FaultPlan::seeded(seed))
-            .with_threads(threads)
-            .with_cache_stripes(1);
-        let striped = Campaign::sampled(stride)
-            .with_faults(FaultPlan::seeded(seed))
-            .with_threads(threads)
-            .with_cache_stripes(stripes);
-        // Striping is execution shape, not configuration: journals and
-        // shard merges must keep working across stripe counts.
-        prop_assert_eq!(single.config_hash(), striped.config_hash());
-        let (single_results, single_report, single_stats) = single.run_with_stats();
-        let (striped_results, striped_report, striped_stats) = striped.run_with_stats();
-        prop_assert_eq!(&single_results.services, &striped_results.services);
-        prop_assert_eq!(&single_results.tests, &striped_results.tests);
-        prop_assert_eq!(single_report, striped_report);
-        prop_assert_eq!(single_stats, striped_stats);
+        let campaign = |doc_cache: bool| {
+            let campaign = Campaign::sampled(stride)
+                .with_threads(threads)
+                .with_doc_cache(doc_cache);
+            match seed {
+                Some(seed) => campaign.with_faults(FaultPlan::seeded(seed)),
+                None => campaign,
+            }
+        };
+        let (shared, shared_report) = campaign(true).run_with_report();
+        let (text, text_report) = campaign(false).run_with_report();
+        prop_assert_eq!(&shared.services, &text.services);
+        prop_assert_eq!(&shared.tests, &text.tests);
+        prop_assert_eq!(shared_report, text_report);
     }
 }
