@@ -111,14 +111,7 @@ impl ParsedService {
 
 /// FNV-1a over the description bytes. Stable across platforms and
 /// releases (the same constants as the fault plan's site hash).
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use wsinterop_typecat::rng::fnv1a as content_hash;
 
 /// The parse-once pipeline's parse and generation steps, with their
 /// accounting.

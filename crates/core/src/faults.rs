@@ -43,6 +43,7 @@ use wsinterop_frameworks::fault::{
     ClientFaultHook, ServerFaultHook, TRANSIENT_REFUSAL_PREFIX,
 };
 use wsinterop_frameworks::server::{DeployOutcome, ServerId, ServerSubsystem};
+use wsinterop_typecat::rng::{splitmix64, SPLITMIX64_GAMMA};
 use wsinterop_typecat::TypeEntry;
 
 /// One kind of injectable fault.
@@ -326,11 +327,8 @@ impl FaultPlan {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        h ^= (kind.index() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        h ^= (kind.index() as u64 + 1).wrapping_mul(SPLITMIX64_GAMMA);
+        splitmix64(h)
     }
 
     /// Whether `kind` is injected at `site`.

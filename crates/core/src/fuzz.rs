@@ -57,6 +57,7 @@ use std::time::Duration;
 
 use wsinterop_frameworks::client::{ClientId, ErrorClass};
 use wsinterop_frameworks::server::{all_servers, extension_servers, DeployOutcome, ServerId};
+use wsinterop_typecat::rng::{splitmix64, SPLITMIX64_GAMMA};
 use wsinterop_wsdl::de::from_xml_str;
 use wsinterop_wsdl::{soap, Definitions};
 use wsinterop_xml::writer::{write_document, WriteOptions};
@@ -75,17 +76,6 @@ use crate::wire::{
 };
 
 // --- choice tape ----------------------------------------------------
-
-/// splitmix64: the tape's PRNG. Tiny, seedable, and with full 64-bit
-/// avalanche — successive case seeds (which differ in one counter)
-/// still decorrelate completely.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 enum ChoiceMode {
     /// Draw fresh choices from the seeded PRNG.
@@ -132,7 +122,13 @@ impl ChoiceStream {
     pub fn choose(&mut self, bound: usize) -> usize {
         let bound = bound.max(1) as u64;
         let pick = match &mut self.mode {
-            ChoiceMode::Fresh(state) => splitmix64(state) % bound,
+            ChoiceMode::Fresh(state) => {
+                // splitmix64 is the tape's PRNG: successive case seeds
+                // (which differ in one counter) still decorrelate.
+                let draw = splitmix64(*state);
+                *state = state.wrapping_add(SPLITMIX64_GAMMA);
+                draw % bound
+            }
             ChoiceMode::Replay { tape, cursor } => {
                 let raw = tape.get(*cursor).copied().unwrap_or(0);
                 *cursor += 1;

@@ -16,17 +16,7 @@
 
 use std::time::Instant;
 
-/// FNV-1a over a byte string — same constants as
-/// [`crate::doccache::content_hash`], kept private here so the clock
-/// has no dependencies beyond `std`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use wsinterop_typecat::rng::fnv1a;
 
 /// A time source: either the process monotonic clock or a seeded
 /// virtual clock whose span durations are pure functions of the span

@@ -545,8 +545,8 @@ pub fn merge_trace_files(inputs: &[PathBuf], out: &Path) -> std::io::Result<u64>
 
 // --- supervision ----------------------------------------------------
 
-/// Supervision knobs; the defaults match the CLI defaults documented
-/// in DESIGN.md §12.
+/// Supervision knobs; `wsitool`'s `--max-respawns`, `--heartbeat-ms`
+/// and `--backoff-ms` default to these (DESIGN.md §12).
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
     /// Respawns allowed *per worker* beyond its first spawn before the

@@ -21,6 +21,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use wsinterop_typecat::rng::splitmix64;
+
 use crate::obs::Histogram;
 
 use super::http::{self, HttpLimits};
@@ -197,17 +199,6 @@ pub struct LoadgenReport {
     pub counts: LoadgenCounts,
     /// Wall-clock measurements.
     pub timing: LoadgenTiming,
-}
-
-/// Shared with the server's request-id stream (`server::Env`): both
-/// sides derive deterministic values from `(seed, ordinal)` with the
-/// same bijective mixer.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The planned profile of op `index` — pure in `(seed, index)`.

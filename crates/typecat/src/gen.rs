@@ -174,7 +174,7 @@ impl Gen {
 
     /// Deterministic bean fields derived from the class name.
     pub fn make_fields(&mut self, fqcn: &str, count: u8) -> Vec<FieldSpec> {
-        let hash = fnv1a(fqcn);
+        let hash = fnv1a(fqcn.as_bytes());
         (0..count)
             .map(|i| {
                 let name_index =

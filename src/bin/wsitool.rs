@@ -28,8 +28,10 @@
 //!   [--halt-after-units N]              #   reproducers (crash/resume-safe)
 //!   [--fault-seed N] [--crash-fqcn F] [--hang-fqcn F]
 //!   [--max-body-bytes N] [--wire-timeout-ms N] [--shrink-budget N]
-//!   [--shards N --shard-dir DIR]        #   …multi-process shards, merged
-//!                                       #   bit-identical to one process
+//!   [--shards N --shard-dir DIR]        #   …supervised multi-process shards,
+//!   [--max-respawns N]                  #   merged bit-identical to one process;
+//!                                       #   rejects --halt-after-units,
+//!                                       #   --trace-out and --metrics-out
 //! wsitool metrics [--stride N] [--seed N] [--json] [--out FILE]
 //!                                       # deterministic instrumented-campaign metrics
 //! wsitool journal inspect <file> [--json]  # decode a campaign journal
@@ -59,12 +61,15 @@
 //!
 //! The contract is documented in README.md and stable:
 //! `0` success, `1` runtime failure (including non-conformant audits),
-//! `2` usage errors, `3` sharded campaign completed after recovering
-//! one or more crashed/hung workers, `4` shard supervision gave up
-//! after exhausting a worker's respawn budget, `9` deterministic
-//! journal halt (`--halt-after-cells`).
+//! `2` usage errors, `3` sharded campaign or fuzz run completed after
+//! recovering one or more crashed/hung workers, `4` shard supervision
+//! gave up after exhausting a worker's respawn budget, `9`
+//! deterministic journal halt (`--halt-after-cells`).
 
+use std::ffi::OsString;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use wsinterop::core::campaign::ExchangeTransport;
 use wsinterop::core::exchange::{survey_sites_observed, ExchangeSurvey};
@@ -74,7 +79,7 @@ use wsinterop::core::registry::ServiceHost;
 use wsinterop::core::report::{Fig4, TableIII, Totals};
 use wsinterop::core::shard::{
     merge_metrics_files, merge_shard_dir, merge_trace_files, verify_exactly_once,
-    write_merged_journal, ShardSpec, Supervisor, SupervisorConfig,
+    write_merged_journal, ShardSpec, SupervisionOutcome, Supervisor, SupervisorConfig,
 };
 use wsinterop::core::wire;
 use wsinterop::core::Campaign;
@@ -93,14 +98,14 @@ use wsinterop::xml::writer::{write_document, WriteOptions};
 /// non-conformant audits).
 const EXIT_RUNTIME: u8 = 1;
 
-/// Exit code when a sharded campaign completed, but only after the
-/// supervisor recovered at least one crashed or hung worker — the run
-/// is good (merged output verified exactly-once and bit-identical),
-/// the distinct code makes the recovery visible to CI.
+/// Exit code when a sharded campaign or fuzz run completed, but only
+/// after the supervisor recovered at least one crashed or hung worker —
+/// the run is good (merged output verified exactly-once and
+/// bit-identical), the distinct code makes the recovery visible to CI.
 const EXIT_RECOVERED: u8 = 3;
 
 /// Exit code when shard supervision gave up: some worker exhausted
-/// its `--max-respawns` budget and the campaign is incomplete. No
+/// its `--max-respawns` budget and the run is incomplete. No
 /// merged output is produced; per-shard journals keep the completed
 /// cells for a later `--resume`.
 const EXIT_GAVE_UP: u8 = 4;
@@ -272,8 +277,9 @@ fn usage() -> ExitCode {
          \x20      [--transport in-process|tcp|both] [--journal FILE] [--resume]\n\
          \x20      [--halt-after-units N] [--fault-seed N] [--crash-fqcn F] [--hang-fqcn F]\n\
          \x20      [--max-body-bytes N] [--wire-timeout-ms N] [--shrink-budget N]\n\
-         \x20      [--shards N --shard-dir DIR | --shard K/N --shard-dir DIR]\n\
+         \x20      [--shards N --shard-dir DIR [--max-respawns N] | --shard K/N --shard-dir DIR]\n\
          \x20      [--trace-out FILE] [--metrics-out FILE] [--quiet]\n\
+         \x20                        (--shards rejects --halt-after-units, --trace-out, --metrics-out)\n\
          \x20                        WSDL-guided property-based exchange fuzzing:\n\
          \x20                        per-pair outcome tables, tape-shrunk journaled\n\
          \x20                        reproducers, deterministic at any -j/shard count\n\
@@ -581,9 +587,9 @@ struct RunOpts {
     /// lock) after N appends. Worker-side counterpart of
     /// `--halt-after-cells`.
     stall_after: Option<usize>,
-    max_respawns: usize,
-    heartbeat_ms: u64,
-    backoff_ms: u64,
+    /// `--max-respawns`, `--heartbeat-ms` and `--backoff-ms`; the
+    /// defaults are [`SupervisorConfig::default`]'s.
+    supervision: SupervisorConfig,
     /// Chaos injection for the supervisor: make worker K exit with the
     /// journal-halt code after C cells — on its *first* attempt only.
     worker_halt: Option<(usize, usize)>,
@@ -613,9 +619,7 @@ fn parse_run_opts(rest: &[&str]) -> Result<RunOpts, String> {
         shards: None,
         shard_dir: None,
         stall_after: None,
-        max_respawns: 3,
-        heartbeat_ms: 30_000,
-        backoff_ms: 50,
+        supervision: SupervisorConfig::default(),
         worker_halt: None,
         worker_stall: None,
         fuzz_cases: None,
@@ -698,15 +702,17 @@ fn parse_run_opts(rest: &[&str]) -> Result<RunOpts, String> {
             }
             "--max-respawns" => {
                 i += 1;
-                opts.max_respawns = parse_flag_value(rest, i, "--max-respawns")?;
+                opts.supervision.max_respawns = parse_flag_value(rest, i, "--max-respawns")?;
             }
             "--heartbeat-ms" => {
                 i += 1;
-                opts.heartbeat_ms = parse_flag_value(rest, i, "--heartbeat-ms")?;
+                opts.supervision.heartbeat =
+                    Duration::from_millis(parse_flag_value(rest, i, "--heartbeat-ms")?);
             }
             "--backoff-ms" => {
                 i += 1;
-                opts.backoff_ms = parse_flag_value(rest, i, "--backoff-ms")?;
+                opts.supervision.backoff_base =
+                    Duration::from_millis(parse_flag_value(rest, i, "--backoff-ms")?);
             }
             "--worker-halt" => {
                 i += 1;
@@ -1161,7 +1167,9 @@ struct FuzzOpts {
     shard: Option<ShardSpec>,
     shards: Option<usize>,
     shard_dir: Option<String>,
-    max_respawns: usize,
+    /// Only `--max-respawns` is settable; the rest is
+    /// [`SupervisorConfig::default`].
+    supervision: SupervisorConfig,
     quiet: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -1187,7 +1195,7 @@ fn parse_fuzz_opts(rest: &[&str]) -> Result<FuzzOpts, String> {
         shard: None,
         shards: None,
         shard_dir: None,
-        max_respawns: 3,
+        supervision: SupervisorConfig::default(),
         quiet: false,
         trace_out: None,
         metrics_out: None,
@@ -1283,7 +1291,7 @@ fn parse_fuzz_opts(rest: &[&str]) -> Result<FuzzOpts, String> {
             }
             "--max-respawns" => {
                 i += 1;
-                opts.max_respawns = parse_flag_value(rest, i, "--max-respawns")?;
+                opts.supervision.max_respawns = parse_flag_value(rest, i, "--max-respawns")?;
             }
             "--trace-out" => {
                 i += 1;
@@ -1319,6 +1327,20 @@ fn parse_fuzz_opts(rest: &[&str]) -> Result<FuzzOpts, String> {
     }
     if opts.shard.is_some() && opts.shard_dir.is_none() {
         return Err("--shard needs --shard-dir (per-shard journals live there)".to_string());
+    }
+    if opts.shards.is_some() {
+        for (flag, set) in [
+            ("--halt-after-units", opts.halt_after_units.is_some()),
+            ("--trace-out", opts.trace_out.is_some()),
+            ("--metrics-out", opts.metrics_out.is_some()),
+        ] {
+            if set {
+                return Err(format!(
+                    "{flag} is single-process only: fuzz --shards neither halts workers \
+                     nor merges their traces or metrics"
+                ));
+            }
+        }
     }
     Ok(opts)
 }
@@ -1493,10 +1515,10 @@ fn fuzz_shard_worker(opts: &FuzzOpts, spec: ShardSpec) -> ExitCode {
     }
 }
 
-/// The supervising parent of a sharded fuzz run: spawns one worker
-/// process per shard, respawns failed workers (they resume their shard
-/// journal), then merges the per-shard journals into a canonical
-/// journal bit-identical to a single-process run.
+/// The supervising parent of a sharded fuzz run: runs one worker
+/// process per shard under [`supervise`], then merges the per-shard
+/// journals into a canonical journal bit-identical to a single-process
+/// run.
 fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
     let config = fuzz_config(opts);
     println!(
@@ -1508,100 +1530,18 @@ fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
         config.config_hash()
     );
     let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-fuzz-shards"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        return fail(format!("cannot create shard dir {}: {e}", dir.display()));
-    }
-    if !opts.resume {
-        for k in 0..shards {
-            let _ = std::fs::remove_file(ShardSpec::new(k, shards).journal_file(&dir));
-        }
-        let _ = std::fs::remove_file(dir.join("merged.journal"));
-    }
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => return fail(format!("cannot locate own executable: {e}")),
+    let parent: Vec<String> = std::env::args().skip(1).collect();
+    let supervision = match supervise(
+        &parent,
+        &dir,
+        shards,
+        opts.resume,
+        opts.supervision,
+        &|_, _| None,
+    ) {
+        Ok(outcome) => outcome,
+        Err(code) => return code,
     };
-    let spawn = |spec: ShardSpec| {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("fuzz")
-            .arg("--cases")
-            .arg(opts.cases.to_string())
-            .arg("--seed")
-            .arg(opts.seed.to_string())
-            .arg("--stride")
-            .arg(opts.stride.to_string())
-            .arg("--transport")
-            .arg(opts.transport.to_string())
-            .arg("--shard")
-            .arg(spec.to_string())
-            .arg("--shard-dir")
-            .arg(&dir)
-            .arg("--quiet");
-        if opts.extended {
-            cmd.arg("--extended");
-        }
-        if let Some(threads) = opts.threads {
-            cmd.arg("-j").arg(threads.to_string());
-        }
-        if let Some(seed) = opts.fault_seed {
-            cmd.arg("--fault-seed").arg(seed.to_string());
-        }
-        if let Some(fqcn) = &opts.crash_fqcn {
-            cmd.arg("--crash-fqcn").arg(fqcn);
-        }
-        if let Some(fqcn) = &opts.hang_fqcn {
-            cmd.arg("--hang-fqcn").arg(fqcn);
-        }
-        if let Some(bytes) = opts.max_body_bytes {
-            cmd.arg("--max-body-bytes").arg(bytes.to_string());
-        }
-        if let Some(ms) = opts.wire_timeout_ms {
-            cmd.arg("--wire-timeout-ms").arg(ms.to_string());
-        }
-        if let Some(budget) = opts.shrink_budget {
-            cmd.arg("--shrink-budget").arg(budget.to_string());
-        }
-        cmd.spawn()
-    };
-    let mut incomplete: Vec<usize> = (0..shards).collect();
-    let mut respawns = 0usize;
-    for round in 0..=opts.max_respawns {
-        let mut children = Vec::new();
-        for &k in &incomplete {
-            match spawn(ShardSpec::new(k, shards)) {
-                Ok(child) => children.push((k, child)),
-                Err(e) => return fail(format!("cannot spawn fuzz shard {k}/{shards}: {e}")),
-            }
-        }
-        let mut failed = Vec::new();
-        for (k, mut child) in children {
-            match child.wait() {
-                Ok(status) if status.success() => {}
-                Ok(status) => {
-                    eprintln!("fuzz shard {k}/{shards}: exited with {status}; will resume");
-                    failed.push(k);
-                }
-                Err(e) => return fail(format!("cannot wait for fuzz shard {k}/{shards}: {e}")),
-            }
-        }
-        if failed.is_empty() {
-            incomplete.clear();
-            break;
-        }
-        if round < opts.max_respawns {
-            respawns += failed.len();
-        }
-        incomplete = failed;
-    }
-    if !incomplete.is_empty() {
-        eprintln!(
-            "fuzz supervision gave up: shard(s) {incomplete:?} incomplete after {} round(s); \
-             per-shard journals kept in {} for --resume",
-            opts.max_respawns + 1,
-            dir.display()
-        );
-        return ExitCode::from(EXIT_GAVE_UP);
-    }
     let (outcome, merged_path) =
         match wsinterop::core::fuzz::merge_fuzz_shard_dir(&dir, shards, &config) {
             Ok(merged) => merged,
@@ -1613,14 +1553,13 @@ fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
         merged_path.display(),
         outcome.units.len()
     );
-    if respawns > 0 {
-        eprintln!(
-            "note: {respawns} fuzz worker respawn(s) recovered; merged output verified \
-             — exiting {EXIT_RECOVERED} to make the recovery visible"
-        );
-        return ExitCode::from(EXIT_RECOVERED);
-    }
-    ExitCode::SUCCESS
+    // Supervision accounting goes to stderr: sharded stdout must equal
+    // the unsharded run's apart from `journal:` lines.
+    eprintln!(
+        "shards: {shards} worker(s), {} respawn(s) ({} hung)",
+        supervision.respawns, supervision.hung_workers
+    );
+    supervised_exit(&supervision)
 }
 
 fn campaign(opts: &RunOpts) -> ExitCode {
@@ -1809,91 +1748,20 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
     // and every shard journal header — matches the unsharded run.
     echo_run_config(opts.stride, None, &base);
     let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-shards"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        return fail(format!("cannot create shard dir {}: {e}", dir.display()));
-    }
-    if !opts.resume {
-        for k in 0..shards {
-            let spec = ShardSpec::new(k, shards);
-            for file in [
-                spec.journal_file(&dir),
-                spec.services_file(&dir),
-                spec.metrics_file(&dir),
-                spec.trace_file(&dir),
-                spec.pid_file(&dir),
-                spec.log_file(&dir),
-            ] {
-                let _ = std::fs::remove_file(file);
-            }
-        }
-    }
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => return fail(format!("cannot locate own executable: {e}")),
-    };
-    let spawner = |spec: ShardSpec, attempt: usize| {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("campaign")
-            .arg(opts.stride.to_string())
-            .arg("--shard")
-            .arg(spec.to_string())
-            .arg("--shard-dir")
-            .arg(&dir)
-            .arg("--quiet");
-        if opts.extended {
-            cmd.arg("--extended");
-        }
-        if opts.no_cache {
-            cmd.arg("--no-cache");
-        }
-        if opts.trace_out.is_some() {
-            cmd.arg("--trace-out").arg(spec.trace_file(&dir));
-        }
-        // Injected chaos hits the first attempt only — the experiment
-        // is that the respawned replacement finishes the job.
-        if attempt == 0 {
-            if let Some((k, cells)) = opts.worker_halt {
-                if k == spec.index {
-                    cmd.arg("--halt-after-cells").arg(cells.to_string());
-                }
-            }
-            if let Some((k, cells)) = opts.worker_stall {
-                if k == spec.index {
-                    cmd.arg("--stall-after-cells").arg(cells.to_string());
-                }
-            }
-        }
-        cmd
-    };
     let chunk_map = chunk_index_map(opts);
-    let config = SupervisorConfig {
-        max_respawns: opts.max_respawns,
-        heartbeat: std::time::Duration::from_millis(opts.heartbeat_ms),
-        backoff_base: std::time::Duration::from_millis(opts.backoff_ms),
-        ..SupervisorConfig::default()
-    };
-    let supervisor = Supervisor::new(&dir, shards, spawner)
-        .with_config(config)
-        .with_chunk_index(|server, fqcn| chunk_map.get(&(server, fqcn.to_string())).copied());
-    let outcome = match supervisor.run() {
+    let chunk_index = |server, fqcn: &str| chunk_map.get(&(server, fqcn.to_string())).copied();
+    let parent: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match supervise(
+        &parent,
+        &dir,
+        shards,
+        opts.resume,
+        opts.supervision,
+        &chunk_index,
+    ) {
         Ok(outcome) => outcome,
-        Err(e) => return fail(format!("supervision failed: {e}")),
+        Err(code) => return code,
     };
-    if !outcome.all_completed() {
-        for k in &outcome.gave_up {
-            eprintln!(
-                "shard {k}/{shards}: gave up after {} spawn(s)",
-                outcome.worker_attempts[*k]
-            );
-        }
-        eprintln!(
-            "supervision gave up: {} of {shards} shard(s) incomplete; \
-             per-shard journals kept in {} for --resume",
-            outcome.gave_up.len(),
-            dir.display(),
-        );
-        return ExitCode::from(EXIT_GAVE_UP);
-    }
     let merged = match merge_shard_dir(&dir, shards) {
         Ok(merged) => merged,
         Err(e) => return fail(format!("shard merge refused: {e}")),
@@ -1940,6 +1808,137 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
         merged_journal.display(),
         merged.cells.len()
     );
+    supervised_exit(&outcome)
+}
+
+/// Flags that configure the supervising parent and never reach a
+/// worker, as `(flag, takes_value)`. Every other flag on the parent's
+/// command line is passed on to each worker (see [`worker_argv`]).
+const SUPERVISOR_FLAGS: [(&str, bool); 8] = [
+    ("--shards", true),
+    ("--resume", false),
+    ("--max-respawns", true),
+    ("--heartbeat-ms", true),
+    ("--backoff-ms", true),
+    ("--metrics-out", true),
+    ("--worker-halt", true),
+    ("--worker-stall", true),
+];
+
+/// Derives the command line of worker `spec` from its supervisor's
+/// (`parent`, without the program name): drops [`SUPERVISOR_FLAGS`],
+/// re-points `--trace-out` at the shard's trace file, and appends
+/// `--shard K/N --shard-dir DIR --quiet`. On the first attempt only, a
+/// `--worker-halt`/`--worker-stall K:C` aimed at this worker becomes
+/// its `--halt-after-cells`/`--stall-after-cells C`: the experiment is
+/// that the respawned replacement finishes the job.
+fn worker_argv(parent: &[String], spec: ShardSpec, attempt: usize, dir: &Path) -> Vec<OsString> {
+    let mut argv: Vec<OsString> = Vec::new();
+    let mut args = parent.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if let Some(&(flag, takes_value)) = SUPERVISOR_FLAGS.iter().find(|(f, _)| *f == arg) {
+            let value = if takes_value { args.next() } else { None };
+            let switch = match flag {
+                "--worker-halt" => "--halt-after-cells",
+                "--worker-stall" => "--stall-after-cells",
+                _ => continue,
+            };
+            if let Some(Ok((k, cells))) = value.map(|v| parse_worker_chaos(v, flag)) {
+                if attempt == 0 && k == spec.index {
+                    argv.extend([switch.into(), cells.to_string().into()]);
+                }
+            }
+            continue;
+        }
+        match arg {
+            "--trace-out" => {
+                args.next();
+                argv.extend([arg.into(), spec.trace_file(dir).into()]);
+            }
+            // Appended below, identically for every worker.
+            "--shard-dir" => {
+                args.next();
+            }
+            "--quiet" => {}
+            _ => argv.push(arg.into()),
+        }
+    }
+    argv.extend([
+        "--shard".into(),
+        spec.to_string().into(),
+        "--shard-dir".into(),
+        dir.into(),
+        "--quiet".into(),
+    ]);
+    argv
+}
+
+/// The supervisor shell every sharded run shares: removes stale
+/// per-shard and `merged.*` files from `dir` unless `resume`, runs one
+/// worker per shard under [`Supervisor`] (which creates `dir`) with
+/// argv derived by [`worker_argv`], and reports a give-up.
+/// `chunk_index` maps a journaled cell to its strided entry index for
+/// the re-claimed-chunk accounting. Returns the accounting once every
+/// shard completed, or the exit code to stop with.
+fn supervise(
+    parent: &[String],
+    dir: &Path,
+    shards: usize,
+    resume: bool,
+    config: SupervisorConfig,
+    chunk_index: &dyn Fn(ServerId, &str) -> Option<usize>,
+) -> Result<SupervisionOutcome, ExitCode> {
+    if !resume {
+        for k in 0..shards {
+            let spec = ShardSpec::new(k, shards);
+            for file in [
+                spec.journal_file(dir),
+                spec.services_file(dir),
+                spec.metrics_file(dir),
+                spec.trace_file(dir),
+                spec.pid_file(dir),
+                spec.log_file(dir),
+            ] {
+                let _ = std::fs::remove_file(file);
+            }
+        }
+        for merged in ["merged.journal", "merged.metrics.json"] {
+            let _ = std::fs::remove_file(dir.join(merged));
+        }
+    }
+    let exe =
+        std::env::current_exe().map_err(|e| fail(format!("cannot locate own executable: {e}")))?;
+    let spawner = |spec: ShardSpec, attempt: usize| {
+        let mut cmd = std::process::Command::new(&exe);
+        cmd.args(worker_argv(parent, spec, attempt, dir));
+        cmd
+    };
+    let outcome = Supervisor::new(dir, shards, spawner)
+        .with_config(config)
+        .with_chunk_index(chunk_index)
+        .run()
+        .map_err(|e| fail(format!("supervision failed: {e}")))?;
+    if !outcome.all_completed() {
+        for k in &outcome.gave_up {
+            eprintln!(
+                "shard {k}/{shards}: gave up after {} spawn(s)",
+                outcome.worker_attempts[*k]
+            );
+        }
+        eprintln!(
+            "supervision gave up: {} of {shards} shard(s) incomplete; \
+             per-shard journals kept in {} for --resume",
+            outcome.gave_up.len(),
+            dir.display(),
+        );
+        return Err(ExitCode::from(EXIT_GAVE_UP));
+    }
+    Ok(outcome)
+}
+
+/// The exit code of a completed supervised run: [`EXIT_RECOVERED`],
+/// with a note on stderr, when any worker had to be respawned.
+fn supervised_exit(outcome: &SupervisionOutcome) -> ExitCode {
     if outcome.recovered() {
         eprintln!(
             "note: {} worker crash(es)/hang(s) recovered; merged output verified \
@@ -3051,31 +3050,20 @@ fn bench_campaign(
             "wsitool-bench-shards-{}",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let exe = match std::env::current_exe() {
-            Ok(exe) => exe,
-            Err(e) => return fail(format!("cannot locate own executable: {e}")),
-        };
-        let spawner = |spec: ShardSpec, _attempt: usize| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("campaign")
-                .arg(full_stride.to_string())
-                .arg("--shard")
-                .arg(spec.to_string())
-                .arg("--shard-dir")
-                .arg(&dir)
-                .arg("--quiet");
-            cmd
-        };
+        let base = ["campaign".to_string(), full_stride.to_string()];
         let span = clock.start_span("bench-campaign/full-matrix");
-        let outcome = match Supervisor::new(&dir, full_shards, spawner).run() {
+        let outcome = match supervise(
+            &base,
+            &dir,
+            full_shards,
+            false,
+            SupervisorConfig::default(),
+            &|_, _| None,
+        ) {
             Ok(outcome) => outcome,
-            Err(e) => return fail(format!("full-matrix supervision failed: {e}")),
+            Err(code) => return code,
         };
         let wall_ms = span.elapsed_ns() as f64 / 1e6;
-        if !outcome.all_completed() {
-            return fail("full-matrix supervision gave up; bench aborted");
-        }
         let merged = match merge_shard_dir(&dir, full_shards) {
             Ok(merged) => merged,
             Err(e) => return fail(format!("full-matrix merge refused: {e}")),
@@ -3146,4 +3134,91 @@ fn bench_campaign(
          instrumentation overhead {instrumentation_overhead_pct:+.1}%; wrote {out}"
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Worker `spec`'s derived command line, split into the subcommand
+    /// and its arguments.
+    fn derived(parent: &[String], spec: ShardSpec, attempt: usize) -> (String, Vec<String>) {
+        let mut argv = worker_argv(parent, spec, attempt, Path::new("sd"))
+            .into_iter()
+            .map(|a| a.into_string().expect("utf-8 argv"));
+        let command = argv.next().expect("subcommand");
+        let rest: Vec<String> = argv.collect();
+        for (flag, _) in SUPERVISOR_FLAGS {
+            assert!(
+                !rest.iter().any(|a| a == flag),
+                "{flag} leaked into {rest:?}"
+            );
+        }
+        (command, rest)
+    }
+
+    #[test]
+    fn worker_argv_drops_supervisor_flags_and_parses_as_a_worker() {
+        let trace = ShardSpec::new(1, 3).trace_file(Path::new("sd"));
+        let campaign = argv(
+            "campaign 100 --extended --no-cache --shards 3 --shard-dir sd --resume \
+             --max-respawns 2 --heartbeat-ms 900 --backoff-ms 1 --metrics-out m.prom \
+             --trace-out t.jsonl --worker-halt 1:5 --worker-stall 1:7 --quiet",
+        );
+        let parent = parse_run_opts(&campaign[1..].iter().map(String::as_str).collect::<Vec<_>>())
+            .expect("supervisor command line parses");
+        assert_eq!(parent.shards, Some(3));
+        for attempt in [0, 1] {
+            let (command, rest) = derived(&campaign, ShardSpec::new(1, 3), attempt);
+            assert_eq!(command, "campaign");
+            let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+            let opts = parse_run_opts(&rest).expect("worker command line parses");
+            assert_eq!(opts.shard, Some(ShardSpec::new(1, 3)));
+            assert_eq!(opts.shards, None);
+            assert_eq!(opts.shard_dir.as_deref(), Some("sd"));
+            assert_eq!(
+                (opts.stride, opts.extended, opts.no_cache, opts.quiet),
+                (100, true, true, true)
+            );
+            assert_eq!(opts.trace_out.as_deref(), trace.to_str());
+            assert_eq!(opts.metrics_out, None);
+            assert_eq!(opts.halt_after, (attempt == 0).then_some(5));
+            assert_eq!(opts.stall_after, (attempt == 0).then_some(7));
+        }
+        // Worker chaos aims at one worker only.
+        let (_, rest) = derived(&campaign, ShardSpec::new(0, 3), 0);
+        assert!(
+            !rest.iter().any(|a| a.ends_with("-after-cells")),
+            "{rest:?}"
+        );
+
+        let fuzz = argv(
+            "fuzz --cases 4 --stride 400 --seed 7 -j 2 --transport both --extended \
+             --crash-fqcn a.B --hang-fqcn c.D --fault-seed 3 --max-body-bytes 4096 \
+             --wire-timeout-ms 50 --shrink-budget 8 --shards 2 --shard-dir sd --resume \
+             --max-respawns 1",
+        );
+        let parent = parse_fuzz_opts(&fuzz[1..].iter().map(String::as_str).collect::<Vec<_>>())
+            .expect("supervisor command line parses");
+        assert_eq!(parent.shards, Some(2));
+        let (command, rest) = derived(&fuzz, ShardSpec::new(1, 2), 0);
+        assert_eq!(command, "fuzz");
+        let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+        let opts = parse_fuzz_opts(&rest).expect("worker command line parses");
+        assert_eq!(opts.shard, Some(ShardSpec::new(1, 2)));
+        assert_eq!(opts.shards, None);
+        assert!(!opts.resume && opts.quiet);
+        let (config, expected) = (fuzz_config(&opts), fuzz_config(&parent));
+        assert_eq!(config.config_hash(), expected.config_hash());
+        assert_eq!(config.threads, 2);
+
+        // bench-campaign's full matrix starts from a fixed base.
+        let (command, rest) = derived(&argv("campaign 1"), ShardSpec::new(0, 2), 0);
+        assert_eq!(command, "campaign");
+        assert_eq!(rest, argv("1 --shard 0/2 --shard-dir sd --quiet"));
+    }
 }

@@ -251,3 +251,90 @@ fn halted_fuzz_run_resumes_to_identical_journal_and_stdout() {
     let _ = std::fs::remove_file(&reference);
     let _ = std::fs::remove_file(&halted);
 }
+
+// --- CLI: supervised recovery of a killed worker --------------------
+
+#[cfg(unix)]
+#[test]
+fn killed_fuzz_worker_is_respawned_and_the_merge_is_bit_identical() {
+    // The CI smoke's armed injections, on a stride and case count at
+    // which each worker runs for a second or more — far longer than
+    // the few milliseconds between its spawn and the kill below.
+    let args = [
+        "fuzz", "--cases", "16", "--stride", "5", "--seed", "7",
+        "--crash-fqcn", "java.util.PacketException",
+        "--hang-fqcn", "java.awt.DigestSummary3046", "--quiet",
+    ];
+    let reference = temp_path("kill-ref.journal");
+    let dir = temp_path("kill-shards");
+    let _ = std::fs::remove_file(&reference);
+    let _ = std::fs::remove_dir_all(&dir);
+    let ref_str = reference.to_str().unwrap();
+    let dir_str = dir.to_str().unwrap();
+
+    let single = wsitool(&[&args[..], &["--journal", ref_str]].concat());
+    assert!(
+        single.status.success(),
+        "{}",
+        String::from_utf8_lossy(&single.stderr)
+    );
+
+    let mut supervisor = Command::new(env!("CARGO_BIN_EXE_wsitool"))
+        .args(args)
+        .args(["--shards", "2", "--shard-dir", dir_str])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("supervisor starts");
+    let pid_file = ShardSpec::new(0, 2).pid_file(&dir);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let pid = loop {
+        let published = std::fs::read_to_string(&pid_file).ok();
+        if let Some(pid) = published.and_then(|p| p.trim().parse::<u32>().ok()) {
+            break pid.to_string();
+        }
+        if let Some(status) = supervisor.try_wait().expect("supervisor pollable") {
+            panic!("supervisor exited ({status}) before worker 0 published its pid");
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "worker 0 never published its pid"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    };
+    let signal = |sig: &str| {
+        Command::new("kill")
+            .args([sig, pid.as_str()])
+            .status()
+            .expect("kill runs")
+            .success()
+    };
+    assert!(
+        signal("-STOP"),
+        "worker 0 (pid {pid}) finished before it could be stopped; the workload is too short"
+    );
+    assert!(signal("-KILL"), "cannot SIGKILL worker 0 (pid {pid})");
+
+    let out = supervisor.wait_with_output().expect("supervisor finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(
+        out.status.code(),
+        Some(0),
+        "worker 0 finished before the SIGKILL landed, so nothing was recovered; \
+         the workload is too short:\n{stderr}"
+    );
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("1 respawn(s)"), "{stderr}");
+    assert_eq!(
+        science_lines(&single.stdout),
+        science_lines(&out.stdout),
+        "recovered sharded stdout diverged from the single-process run"
+    );
+    assert_eq!(
+        std::fs::read(&reference).unwrap(),
+        std::fs::read(dir.join("merged.journal")).unwrap(),
+        "merged journal bytes diverged from the single-process journal"
+    );
+    let _ = std::fs::remove_file(&reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -355,6 +355,10 @@ fn sharding_usage_errors_exit_2() {
         // chaos campaigns are single-process
         &["chaos", "--shards", "2"][..],
         &["chaos", "--shard", "0/2", "--shard-dir", "d"][..],
+        // single-process fuzz flags that the fuzz supervisor would drop
+        &["fuzz", "--shards", "2", "--shard-dir", "d", "--halt-after-units", "1"][..],
+        &["fuzz", "--shards", "2", "--shard-dir", "d", "--trace-out", "t.jsonl"][..],
+        &["fuzz", "--shards", "2", "--shard-dir", "d", "--metrics-out", "m.prom"][..],
     ] {
         let out = wsitool(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
